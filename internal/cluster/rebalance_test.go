@@ -51,9 +51,8 @@ func assertSameTopK(t *testing.T, label string, got, want Answer) {
 	}
 }
 
-// TestQueriesRacingMigration is the migration-correctness suite: across
-// every scan mode, with and without the pruning tier and the two-pass
-// quantized path, and across batch sizes Q ∈ {1, 7, 64}, queries running
+// TestQueriesRacingMigration is the migration-correctness suite: with and
+// without the pruning tier and the two-pass quantized path, and across batch sizes Q ∈ {1, 7, 64}, queries running
 // while a chunked migration flips routes under them must (a) stay
 // bit-identical to an unsplit oracle, (b) keep every sub-query's stage sum
 // equal to its latency, and (c) conserve scanned+skipped features across
@@ -75,87 +74,84 @@ func TestQueriesRacingMigration(t *testing.T) {
 			o.RerankMargin = 4
 		}},
 	}
-	for _, mode := range []core.ScanMode{core.ScanBatched, core.ScanPerFeature, core.ScanSerial} {
-		for _, v := range variants {
-			t.Run(fmt.Sprintf("%v/%s", mode, v.name), func(t *testing.T) {
-				opts := core.DefaultOptions()
-				opts.Scan = mode
-				v.mut(&opts)
-				live, oracle, db := rebalanceFixture(t, 2, features, opts)
+	for _, v := range variants {
+		t.Run("batched/"+v.name, func(t *testing.T) {
+			opts := core.DefaultOptions()
+			v.mut(&opts)
+			live, oracle, db := rebalanceFixture(t, 2, features, opts)
 
-				// Move a mid-range window out of shard 0 in 3 chunks,
-				// stepping between query batches so the batches observe
-				// pre-move, mid-move (split routes), and post-move
-				// generations.
-				rb, err := NewRebalancer(live, MoveSpec{
-					Source: 0, Dest: AddShard, Start: 40, Count: 90, ChunkFeatures: 30,
-				})
+			// Move a mid-range window out of shard 0 in 3 chunks,
+			// stepping between query batches so the batches observe
+			// pre-move, mid-move (split routes), and post-move
+			// generations.
+			rb, err := NewRebalancer(live, MoveSpec{
+				Source: 0, Dest: AddShard, Start: 40, Count: 90, ChunkFeatures: 30,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := false
+			step := func() {
+				if done {
+					return
+				}
+				var err error
+				if done, err = rb.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			qi := 0
+			for _, q := range []int{1, 7, 64} {
+				qfvs := make([][]float32, q)
+				for i := range qfvs {
+					qfvs[i] = db.Vectors[(qi*37)%features]
+					qi++
+				}
+				la, err := live.QueriesShared(qfvs, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				done := false
-				step := func() {
-					if done {
-						return
-					}
-					var err error
-					if done, err = rb.Step(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				qi := 0
-				for _, q := range []int{1, 7, 64} {
-					qfvs := make([][]float32, q)
-					for i := range qfvs {
-						qfvs[i] = db.Vectors[(qi*37)%features]
-						qi++
-					}
-					la, err := live.QueriesShared(qfvs, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					oa, err := oracle.QueriesShared(qfvs, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range la {
-						assertSameTopK(t, fmt.Sprintf("Q=%d query %d", q, i), la[i], oa[i])
-						if got := la[i].FeaturesScanned + la[i].Prune.FeaturesSkipped; got != int64(features) {
-							t.Fatalf("Q=%d query %d: scanned %d + skipped %d = %d, want %d",
-								q, i, la[i].FeaturesScanned, la[i].Prune.FeaturesSkipped, got, features)
-						}
-						if la[i].Makespan <= 0 {
-							t.Fatalf("Q=%d query %d: non-positive makespan", q, i)
-						}
-					}
-					step()
-				}
-				for !done {
-					step()
-				}
-				// Finished: 4 routes (0..40 | moved 40..130 | 130..165 | shard 1).
-				if live.Shards() != 3 {
-					t.Fatalf("%d shards after AddShard move, want 3", live.Shards())
-				}
-				assertPartition(t, live, int64(features))
-				// Post-move queries still match, including ranges on the new
-				// shard.
-				la, err := live.Queries([][]float32{db.Vectors[41], db.Vectors[129]}, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				oa, err := oracle.Queries([][]float32{db.Vectors[41], db.Vectors[129]}, k)
+				oa, err := oracle.QueriesShared(qfvs, k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := range la {
-					assertSameTopK(t, fmt.Sprintf("post-move query %d", i), la[i], oa[i])
+					assertSameTopK(t, fmt.Sprintf("Q=%d query %d", q, i), la[i], oa[i])
+					if got := la[i].FeaturesScanned + la[i].Prune.FeaturesSkipped; got != int64(features) {
+						t.Fatalf("Q=%d query %d: scanned %d + skipped %d = %d, want %d",
+							q, i, la[i].FeaturesScanned, la[i].Prune.FeaturesSkipped, got, features)
+					}
+					if la[i].Makespan <= 0 {
+						t.Fatalf("Q=%d query %d: non-positive makespan", q, i)
+					}
 				}
-				if n := live.MetricsSnapshot().Counters["cluster_stage_sum_mismatch"]; n != 0 {
-					t.Fatalf("stage-sum invariant broke %d times during migration", n)
-				}
-			})
-		}
+				step()
+			}
+			for !done {
+				step()
+			}
+			// Finished: 4 routes (0..40 | moved 40..130 | 130..165 | shard 1).
+			if live.Shards() != 3 {
+				t.Fatalf("%d shards after AddShard move, want 3", live.Shards())
+			}
+			assertPartition(t, live, int64(features))
+			// Post-move queries still match, including ranges on the new
+			// shard.
+			la, err := live.Queries([][]float32{db.Vectors[41], db.Vectors[129]}, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oa, err := oracle.Queries([][]float32{db.Vectors[41], db.Vectors[129]}, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range la {
+				assertSameTopK(t, fmt.Sprintf("post-move query %d", i), la[i], oa[i])
+			}
+			if n := live.MetricsSnapshot().Counters["cluster_stage_sum_mismatch"]; n != 0 {
+				t.Fatalf("stage-sum invariant broke %d times during migration", n)
+			}
+		})
 	}
 }
 

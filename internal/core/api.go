@@ -245,7 +245,7 @@ func (ds *DeepStore) SetQC(qcn *nn.Network, qcnAccuracy float64, entries int, th
 	// push them through one GEMM-backed ScoreBatch call instead of one QCN
 	// forward per entry. Scores (and the clamping) match the scalar scorer
 	// bit for bit, so the cache's hit decisions are unchanged.
-	batch := ds.scoreBatch()
+	batch := DefaultScoreBatch
 	bpool := &sync.Pool{New: func() any {
 		return &qcSweepCtx{bs: qcn.BatchScorer(batch), scores: make([]float32, batch)}
 	}}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ftl"
+	"repro/internal/nn"
 	"repro/internal/topk"
 	"repro/internal/workload"
 )
@@ -33,17 +35,33 @@ func buildEngine(t *testing.T, opts Options, appName string, features int) (*Dee
 	return ds, db, model, dbID
 }
 
-// TestScoreRangeBatchedConvApp: the batched scan matches the serial
-// reference on a convolutional SCN (ReId: subtract front end, two padded
-// conv layers through the im2col path) over unaligned sub-ranges.
+// TestScoreRangeBatchedConvApp: the stripe walk matches the serial oracle
+// on a convolutional SCN (ReId: subtract front end, two padded conv layers
+// through the im2col path) over unaligned sub-ranges — top-K and skip
+// accounting, fp32 and int8, dense and pruned.
 func TestScoreRangeBatchedConvApp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ReId forward passes are slow")
 	}
-	ds, _, model, dbID := buildEngine(t, DefaultOptions(), "ReId", 150)
-	st := ds.dbs[dbID]
-	net := ds.models[model]
-	q := st.vectors[9]
+	type engine struct {
+		name string
+		ds   *DeepStore
+		st   *dbState
+		net  *nn.Network
+	}
+	var engines []engine
+	for _, quant := range []bool{false, true} {
+		for _, prune := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.Prune = prune
+			opts.Quantized = quant
+			if quant {
+				opts.RerankMargin = 4
+			}
+			ds, _, model, dbID := buildEngine(t, opts, "ReId", 150)
+			engines = append(engines, engine{fmt.Sprintf("quant=%v/prune=%v", quant, prune), ds, ds.dbs[dbID], ds.models[model]})
+		}
+	}
 	for _, c := range []struct {
 		name       string
 		start, end int64
@@ -52,62 +70,45 @@ func TestScoreRangeBatchedConvApp(t *testing.T) {
 		{"mid-stripe", 3, 141},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			serial, _ := ds.scoreRangeSerial(net, st, q, c.start, c.end, 10)
-			batched, _ := ds.scoreRangeBatched(net, st, q, c.start, c.end, 10)
-			if len(serial) != len(batched) {
-				t.Fatalf("batched returned %d entries, serial %d", len(batched), len(serial))
-			}
-			for i := range serial {
-				if serial[i] != batched[i] {
-					t.Fatalf("entry %d differs: batched %+v != serial %+v", i, batched[i], serial[i])
+			for _, e := range engines {
+				q := e.st.vectors[9]
+				serial, serialStats := e.ds.scoreRangeSerial(e.net, e.st, q, c.start, c.end, 10)
+				batched, batchedStats := e.ds.walkOne(e.net, e.st, q, c.start, c.end, 10)
+				assertSameTopK(t, e.name, batched, serial)
+				if batchedStats != serialStats {
+					t.Fatalf("%s: skip accounting %+v, oracle %+v", e.name, batchedStats, serialStats)
 				}
 			}
 		})
 	}
 }
 
-// TestQueryScanModesMatch: end-to-end Query results are identical across
-// every Options.Scan mode and across batch sizes (1, 7, and the default 64)
-// — batch geometry must never leak into results.
+// TestQueryScanModesMatch: end-to-end Query results equal the serial
+// oracle's across gather batch sizes (1, 7, and the default 64) — batch
+// geometry must never leak into results.
 func TestQueryScanModesMatch(t *testing.T) {
-	run := func(mode ScanMode, batch int) []topk.Entry {
-		opts := DefaultOptions()
-		opts.Scan = mode
-		opts.ScoreBatch = batch
-		ds, _, model, dbID := buildEngine(t, opts, "TextQA", 500)
-		qfv := ds.dbs[dbID].vectors[3]
-		qid, err := ds.Query(QuerySpec{QFV: qfv, K: 10, Model: model, DB: dbID})
-		if err != nil {
-			t.Fatal(err)
+	for _, batch := range []int{0, 1, 7, 64} {
+		name := fmt.Sprintf("batched/B=%d", batch)
+		if batch == 0 {
+			name = "batched/B=default"
 		}
-		res, err := ds.GetResults(qid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TopK
-	}
-	want := run(ScanSerial, 0)
-	for _, c := range []struct {
-		name  string
-		mode  ScanMode
-		batch int
-	}{
-		{"per-feature", ScanPerFeature, 0},
-		{"batched/B=default", ScanBatched, 0},
-		{"batched/B=1", ScanBatched, 1},
-		{"batched/B=7", ScanBatched, 7},
-		{"batched/B=64", ScanBatched, 64},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			got := run(c.mode, c.batch)
-			if len(got) != len(want) {
-				t.Fatalf("returned %d entries, serial %d", len(got), len(want))
+		t.Run(name, func(t *testing.T) {
+			ds, _, model, dbID := buildEngine(t, DefaultOptions(), "TextQA", 500)
+			if batch > 0 {
+				ds.pools.batch = batch
 			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("entry %d differs: %+v != serial %+v", i, got[i], want[i])
-				}
+			st := ds.dbs[dbID]
+			qfv := st.vectors[3]
+			want, _ := ds.scoreRangeSerial(ds.models[model], st, qfv, 0, 500, 10)
+			qid, err := ds.Query(QuerySpec{QFV: qfv, K: 10, Model: model, DB: dbID})
+			if err != nil {
+				t.Fatal(err)
 			}
+			res, err := ds.GetResults(qid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameTopK(t, name, res.TopK, want)
 		})
 	}
 }
@@ -147,17 +148,17 @@ func TestRerankBatchedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestScoreRangeBatchedAllocSteady: once the batchCtx pool is warm, the
-// batched scan's allocations are per-shard bookkeeping (queues, goroutines)
+// TestScoreRangeBatchedAllocSteady: once the scanCtx pool is warm, the
+// stripe walk's allocations are per-shard bookkeeping (queues, goroutines)
 // — they must not grow with the number of features scored.
 func TestScoreRangeBatchedAllocSteady(t *testing.T) {
 	ds, _, model, dbID := buildEngine(t, DefaultOptions(), "TextQA", 2000)
 	st := ds.dbs[dbID]
 	net := ds.models[model]
 	q := st.vectors[17]
-	ds.scoreRangeBatched(net, st, q, 0, 2000, 10) // warm the pool
-	small := testing.AllocsPerRun(5, func() { _, _ = ds.scoreRangeBatched(net, st, q, 0, 200, 10) })
-	large := testing.AllocsPerRun(5, func() { _, _ = ds.scoreRangeBatched(net, st, q, 0, 2000, 10) })
+	ds.walkOne(net, st, q, 0, 2000, 10) // warm the pool
+	small := testing.AllocsPerRun(5, func() { _, _ = ds.walkOne(net, st, q, 0, 200, 10) })
+	large := testing.AllocsPerRun(5, func() { _, _ = ds.walkOne(net, st, q, 0, 2000, 10) })
 	// 1800 extra features → ~29 extra GEMM batches; allow a little noise
 	// from the scheduler but nothing proportional to the feature count.
 	if large-small > 8 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -144,6 +145,7 @@ func TestQueryRange(t *testing.T) {
 func TestQueryValidation(t *testing.T) {
 	ds, app, model, dbID := newEngine(t, 50)
 	q := workload.NewFeatureDB(app, 1, 5).Vectors[0]
+	unknownLevel, negativeLevel := accel.Level(9), accel.Level(-1)
 	bad := []QuerySpec{
 		{QFV: q, K: 0, Model: model, DB: ftlID(dbID)},
 		{QFV: q[:10], K: 1, Model: model, DB: ftlID(dbID)},
@@ -151,11 +153,83 @@ func TestQueryValidation(t *testing.T) {
 		{QFV: q, K: 1, Model: model, DB: 999},
 		{QFV: q, K: 1, Model: model, DB: ftlID(dbID), DBStart: 40, DBEnd: 30},
 		{QFV: q, K: 1, Model: model, DB: ftlID(dbID), DBEnd: 51},
+		{QFV: q, K: 1, Model: model, DB: ftlID(dbID), Level: &unknownLevel},
+		{QFV: q, K: 1, Model: model, DB: ftlID(dbID), Level: &negativeLevel},
 	}
 	for i, spec := range bad {
 		if _, err := ds.Query(spec); err == nil {
 			t.Errorf("bad query %d accepted", i)
 		}
+		if _, err := ds.QueryMulti([]QuerySpec{spec}); err == nil {
+			t.Errorf("bad query %d accepted by QueryMulti", i)
+		}
+	}
+}
+
+// TestHugeK: a K beyond everything a query can return answers exactly as a
+// K covering it does — every feature of the range on a miss (fp32, and int8
+// two-pass, where K·margin would overflow int), on a shared sweep, and every
+// cached entry on a hit whose cached entry holds more features than the hit
+// query's range. Huge K used to panic inside a scan worker.
+func TestHugeK(t *testing.T) {
+	const features = 300
+	for _, c := range []struct {
+		name  string
+		quant bool
+		k     int
+	}{
+		{"fp32", false, 1 << 50},
+		{"int8-two-pass", true, 1 << 62},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(k int) []*QueryResult {
+				opts := DefaultOptions()
+				if c.quant {
+					opts.Quantized = true
+					opts.RerankMargin = 4
+				}
+				ds, db, model, dbID := buildEngine(t, opts, "TextQA", features)
+				if err := ds.SetQC(perfectQCN(len(db.Vectors[0])), 1.0, 16, 0.2); err != nil {
+					t.Fatal(err)
+				}
+				spec := func(i int, end int64) QuerySpec {
+					return QuerySpec{QFV: db.Vectors[i], K: k, Model: model, DB: dbID, DBEnd: end}
+				}
+				var ids []QueryID
+				for _, s := range []QuerySpec{spec(5, 0), spec(5, 10)} { // miss, then hit
+					id, err := ds.Query(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids = append(ids, id)
+				}
+				multi, err := ds.QueryMulti([]QuerySpec{spec(7, 0), spec(8, 0)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out []*QueryResult
+				for _, id := range append(ids, multi...) {
+					res, err := ds.GetResults(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, res)
+				}
+				if !out[1].CacheHit || len(out[1].TopK) != features {
+					t.Fatalf("hit=%v returned %d entries, want a hit reranking all %d cached",
+						out[1].CacheHit, len(out[1].TopK), features)
+				}
+				return out
+			}
+			want, got := run(features), run(c.k)
+			for i := range want {
+				label := fmt.Sprintf("query %d", i)
+				assertSameTopK(t, label, got[i].TopK, want[i].TopK)
+				if got[i].Latency != want[i].Latency {
+					t.Fatalf("%s: latency %v, want %v", label, got[i].Latency, want[i].Latency)
+				}
+			}
+		})
 	}
 }
 

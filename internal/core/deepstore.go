@@ -34,41 +34,10 @@ type ModelID uint64
 // QueryID identifies a submitted query (query/getResults, Table 2).
 type QueryID uint64
 
-// ScanMode selects the functional-scoring implementation for the miss-path
-// scan. All modes produce identical top-K results (see DESIGN.md "Compute
-// kernels" on the ordering guarantee); they differ only in throughput.
-type ScanMode int
-
-const (
-	// ScanBatched (the default) packs each channel stripe's features into
-	// per-worker GEMM batches, so every FC layer runs as cache-blocked
-	// matrix-matrix compute instead of one Gemv per feature.
-	ScanBatched ScanMode = iota
-	// ScanPerFeature scores one feature at a time across the worker pool —
-	// the pre-GEMM parallel path, kept as a benchmark baseline.
-	ScanPerFeature
-	// ScanSerial is the single-goroutine reference scan.
-	ScanSerial
-)
-
-// String names the scan mode.
-func (m ScanMode) String() string {
-	switch m {
-	case ScanBatched:
-		return "batched"
-	case ScanPerFeature:
-		return "per-feature"
-	case ScanSerial:
-		return "serial"
-	default:
-		return fmt.Sprintf("ScanMode(%d)", int(m))
-	}
-}
-
-// DefaultScoreBatch is the features-per-batch used by the batched scan when
-// Options.ScoreBatch is zero. 64 rows are enough to amortize each weight
-// panel's memory traffic while keeping per-worker scratch small (see
-// DESIGN.md on batch-size selection).
+// DefaultScoreBatch is the features per gather of the stripe walk (and of
+// the batched rerank and query-cache sweep). 64 rows are enough to amortize
+// each weight panel's memory traffic while keeping per-worker scratch small
+// (see DESIGN.md on batch-size selection).
 const DefaultScoreBatch = 64
 
 // DefaultPruneStripe is the features-per-stripe of the exact-pruning bound
@@ -88,31 +57,19 @@ type Options struct {
 	// TimingWindow bounds the per-accelerator features simulated in the
 	// event-driven model per query (0 = exact simulation).
 	TimingWindow int64
-	// SerialScoring disables the parallel functional-scoring worker pool,
-	// forcing the single-goroutine reference scan. For equivalence tests
-	// and benchmark baselines; results are identical either way.
-	// Deprecated: equivalent to Scan: ScanSerial, which takes precedence
-	// semantics-wise (SerialScoring forces serial regardless of Scan).
-	SerialScoring bool
-	// Scan selects the functional-scoring implementation; the zero value is
-	// ScanBatched. Results are identical across modes.
-	Scan ScanMode
-	// ScoreBatch is the feature count per GEMM batch on the batched path
-	// (0 = DefaultScoreBatch). Results do not depend on it.
-	ScoreBatch int
 	// Prune enables the exact stripe-pruning tier: WriteDB/AppendDB/ReorgDB
 	// build per-channel-stripe bound tables (persisted page-aligned next to
-	// the data), and every scan path skips stripes whose score upper bound
+	// the data), and the stripe walk skips stripes whose score upper bound
 	// cannot beat the current top-K floor. Results are bit-identical to the
-	// dense scan in every mode (see DESIGN.md "Exact scan pruning"); only
-	// latency, energy, and the new bound_check stage change.
+	// dense scan (see DESIGN.md "Exact scan pruning"); only latency, energy,
+	// and the new bound_check stage change.
 	Prune bool
 	// PruneStripeFeatures is the per-channel stripe granularity of the bound
 	// tier (0 = DefaultPruneStripe). Results do not depend on it.
 	PruneStripeFeatures int
 	// Quantized enables the int8 scoring path (§7): WriteDB/AppendDB build a
-	// quantized feature table persisted next to the fp32 data, and every
-	// scan path scores int8 activations through GemmInt8 with flash, NoC,
+	// quantized feature table persisted next to the fp32 data, and the
+	// stripe walk scores int8 activations through GemmInt8 with flash, NoC,
 	// and MAC costs charged at the narrow width. With RerankMargin == 0 the
 	// int8 top-K is returned directly (fast approximate mode); see
 	// RerankMargin for the exact mode. Spec-only (DeclareDB) databases have
@@ -313,8 +270,8 @@ type DeepStore struct {
 	histMines      uint64
 	histPrefetched uint64
 
-	// pools hands out per-worker batched-scoring contexts; keyed by
-	// network, safe for concurrent use without holding mu.
+	// pools hands out per-worker scan contexts; keyed by network and
+	// scorer rows, safe for concurrent use without holding mu.
 	pools batchPools
 
 	emodel energy.Model
@@ -365,29 +322,12 @@ func New(opts Options) (*DeepStore, error) {
 		tracer:      obs.NewTracer(0),
 	}
 	dev.AttachObs(ds.obs, ds.tracer)
-	ds.pools.batch = ds.scoreBatch()
+	ds.pools.batch = DefaultScoreBatch
 	ds.pools.quantized = opts.Quantized
 	if opts.History {
 		ds.hist = qhist.NewStore()
 	}
 	return ds, nil
-}
-
-// scanMode resolves the effective scan implementation, honoring the legacy
-// SerialScoring flag.
-func (ds *DeepStore) scanMode() ScanMode {
-	if ds.opts.SerialScoring {
-		return ScanSerial
-	}
-	return ds.opts.Scan
-}
-
-// scoreBatch resolves the effective features-per-batch for the batched scan.
-func (ds *DeepStore) scoreBatch() int {
-	if ds.opts.ScoreBatch > 0 {
-		return ds.opts.ScoreBatch
-	}
-	return DefaultScoreBatch
 }
 
 // Device exposes the underlying simulated SSD (for inspection and tests).

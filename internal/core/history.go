@@ -45,8 +45,8 @@ func (ds *DeepStore) mineInterval() int {
 // cold-payload DRAM write on the simulated clock and folding the cost into
 // the result as the hist_append stage (so the stage-sum == latency invariant
 // holds). Every mineInterval appends in learned mode, the admission model is
-// re-mined and charged as hist_mine. Callers hold ds.mu and must call this
-// BEFORE finishQuery, on hit and miss paths alike.
+// re-mined and charged as hist_mine. finishQuery calls it with ds.mu held,
+// on hit and miss paths alike, before the result enters the stats.
 func (ds *DeepStore) appendHistory(spec QuerySpec, r *QueryResult) {
 	if ds.hist == nil {
 		return

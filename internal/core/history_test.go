@@ -169,65 +169,62 @@ func TestLearnedAdmissionEquivalence(t *testing.T) {
 	}
 	const k, entries = 4, 3
 	sawEviction := false
-	for _, mode := range []ScanMode{ScanBatched, ScanPerFeature, ScanSerial} {
-		for _, v := range variants {
-			for _, q := range []int{1, 7, 64} {
-				t.Run(fmt.Sprintf("%v/%s/q%d", mode, v.name, q), func(t *testing.T) {
-					if raceEnabled && q > 7 {
-						// A deterministic single-stream replay: the race
-						// detector only multiplies its runtime ~15x. The full
-						// matrix runs in the non-race tier-1 step; the
-						// concurrency suites keep their dedicated -race step.
-						t.Skip("q64 equivalence cells run without the race detector")
-					}
-					opts := DefaultOptions()
-					opts.Scan = mode
-					opts.Prune = v.prune
-					opts.Quantized = v.quant
-					if v.quant {
-						opts.RerankMargin = 4
-					}
-					lruOpts, learnedOpts := opts, opts
-					lruOpts.CacheAdmission = AdmissionLRU
-					learnedOpts.CacheAdmission = AdmissionLearned // History stays false
+	for _, v := range variants {
+		for _, q := range []int{1, 7, 64} {
+			t.Run(fmt.Sprintf("batched/%s/q%d", v.name, q), func(t *testing.T) {
+				if raceEnabled && q > 7 {
+					// A deterministic single-stream replay: the race
+					// detector only multiplies its runtime ~15x. The full
+					// matrix runs in the non-race tier-1 step; the
+					// concurrency suites keep their dedicated -race step.
+					t.Skip("q64 equivalence cells run without the race detector")
+				}
+				opts := DefaultOptions()
+				opts.Prune = v.prune
+				opts.Quantized = v.quant
+				if v.quant {
+					opts.RerankMargin = 4
+				}
+				lruOpts, learnedOpts := opts, opts
+				lruOpts.CacheAdmission = AdmissionLRU
+				learnedOpts.CacheAdmission = AdmissionLearned // History stays false
 
-					qfvs := histTrace(t, q, int64(100+q))
-					lru := newHistEngine(t, lruOpts, vectors, entries)
-					learned := newHistEngine(t, learnedOpts, vectors, entries)
-					oracle := newHistEngine(t, opts, vectors, 0)
-					for i, qfv := range qfvs {
-						lr := lru.query(t, qfv, k)
-						le := learned.query(t, qfv, k)
-						requireSameResult(t, "learned-vs-lru", i, le, lr)
-						if sum := obs.SumStages(le.Stages); sum != le.Latency {
-							t.Fatalf("query %d: stage sum %v != latency %v", i, sum, le.Latency)
-						}
-						or := oracle.query(t, qfv, k)
-						if !le.CacheHit && !reflect.DeepEqual(le.TopK, or.TopK) {
-							t.Fatalf("query %d: miss-path topK diverged from oracle:\n got %v\nwant %v",
-								i, le.TopK, or.TopK)
-						}
+				qfvs := histTrace(t, q, int64(100+q))
+				lru := newHistEngine(t, lruOpts, vectors, entries)
+				learned := newHistEngine(t, learnedOpts, vectors, entries)
+				oracle := newHistEngine(t, opts, vectors, 0)
+				for i, qfv := range qfvs {
+					lr := lru.query(t, qfv, k)
+					le := learned.query(t, qfv, k)
+					requireSameResult(t, "learned-vs-lru", i, le, lr)
+					if sum := obs.SumStages(le.Stages); sum != le.Latency {
+						t.Fatalf("query %d: stage sum %v != latency %v", i, sum, le.Latency)
 					}
-					snap := learned.ds.MetricsSnapshot()
-					if rejects := snap.Counters["qcache_admission_rejects"]; rejects != 0 {
-						t.Fatalf("learned admission with no history rejected %d inserts", rejects)
+					or := oracle.query(t, qfv, k)
+					if !le.CacheHit && !reflect.DeepEqual(le.TopK, or.TopK) {
+						t.Fatalf("query %d: miss-path topK diverged from oracle:\n got %v\nwant %v",
+							i, le.TopK, or.TopK)
 					}
-					if snap.Counters["qcache_evictions"] > 0 {
-						sawEviction = true
-					}
+				}
+				snap := learned.ds.MetricsSnapshot()
+				if rejects := snap.Counters["qcache_admission_rejects"]; rejects != 0 {
+					t.Fatalf("learned admission with no history rejected %d inserts", rejects)
+				}
+				if snap.Counters["qcache_evictions"] > 0 {
+					sawEviction = true
+				}
 
-					// The shared-sweep path must satisfy the same equivalence.
-					if q > 1 {
-						lruM := newHistEngine(t, lruOpts, vectors, entries)
-						learnedM := newHistEngine(t, learnedOpts, vectors, entries)
-						lres := lruM.queryMulti(t, qfvs, k)
-						mres := learnedM.queryMulti(t, qfvs, k)
-						for i := range mres {
-							requireSameResult(t, "multi", i, mres[i], lres[i])
-						}
+				// The shared-sweep path must satisfy the same equivalence.
+				if q > 1 {
+					lruM := newHistEngine(t, lruOpts, vectors, entries)
+					learnedM := newHistEngine(t, learnedOpts, vectors, entries)
+					lres := lruM.queryMulti(t, qfvs, k)
+					mres := learnedM.queryMulti(t, qfvs, k)
+					for i := range mres {
+						requireSameResult(t, "multi", i, mres[i], lres[i])
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 	if !raceEnabled && !sawEviction {

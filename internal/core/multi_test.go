@@ -74,7 +74,7 @@ func newEqEngine(t *testing.T, opts Options, features int, useQC bool) (*DeepSto
 }
 
 // TestQueryMultiEquivalence is the lockdown suite for the shared
-// multi-query sweep: for every scan mode, with the query cache on and off,
+// multi-query sweep: with the query cache on and off,
 // with and without flash read faults, and across batch widths (including
 // widths beyond the cache capacity) and odd database sizes, QueryMulti's
 // results are compared against the sequential oracle — the same specs
@@ -88,68 +88,65 @@ func newEqEngine(t *testing.T, opts Options, features int, useQC bool) (*DeepSto
 // functional identity plus the stage-sum invariant on both paths.
 func TestQueryMultiEquivalence(t *testing.T) {
 	sizes := []int{7, 33, 101} // all odd, straddling the 32-channel stripe width
-	for _, mode := range []ScanMode{ScanBatched, ScanPerFeature, ScanSerial} {
-		for _, useQC := range []bool{false, true} {
-			for _, faults := range []bool{false, true} {
-				for qi, q := range []int{1, 2, 7, 64} {
-					features := sizes[qi%len(sizes)]
-					name := fmt.Sprintf("%s/qc=%v/faults=%v/Q=%d/db=%d", mode, useQC, faults, q, features)
-					t.Run(name, func(t *testing.T) {
-						opts := DefaultOptions()
-						opts.Scan = mode
-						if faults {
-							opts.Device.FlashFaults.ReadErrorRate = 0.02
-							opts.Device.FlashFaults.Seed = 99
-						}
-						specs := make([]QuerySpec, q)
-						qfvs := eqQueries(q, int64(1000+q))
+	for _, useQC := range []bool{false, true} {
+		for _, faults := range []bool{false, true} {
+			for qi, q := range []int{1, 2, 7, 64} {
+				features := sizes[qi%len(sizes)]
+				name := fmt.Sprintf("batched/qc=%v/faults=%v/Q=%d/db=%d", useQC, faults, q, features)
+				t.Run(name, func(t *testing.T) {
+					opts := DefaultOptions()
+					if faults {
+						opts.Device.FlashFaults.ReadErrorRate = 0.02
+						opts.Device.FlashFaults.Seed = 99
+					}
+					specs := make([]QuerySpec, q)
+					qfvs := eqQueries(q, int64(1000+q))
 
-						oracle, model, db := newEqEngine(t, opts, features, useQC)
-						for i := range specs {
-							specs[i] = QuerySpec{QFV: qfvs[i], K: 5, Model: model, DB: db}
-						}
-						want := make([]*QueryResult, q)
-						for i, spec := range specs {
-							id, err := oracle.Query(spec)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if want[i], err = oracle.GetResults(id); err != nil {
-								t.Fatal(err)
-							}
-						}
-
-						shared, model2, db2 := newEqEngine(t, opts, features, useQC)
-						if model2 != model || db2 != db {
-							t.Fatalf("engines constructed differently: model %d/%d db %d/%d", model, model2, db, db2)
-						}
-						ids, err := shared.QueryMulti(specs)
+					oracle, model, db := newEqEngine(t, opts, features, useQC)
+					for i := range specs {
+						specs[i] = QuerySpec{QFV: qfvs[i], K: 5, Model: model, DB: db}
+					}
+					want := make([]*QueryResult, q)
+					for i, spec := range specs {
+						id, err := oracle.Query(spec)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if len(ids) != q {
-							t.Fatalf("QueryMulti returned %d ids for %d specs", len(ids), q)
+						if want[i], err = oracle.GetResults(id); err != nil {
+							t.Fatal(err)
 						}
-						for i, id := range ids {
-							got, err := shared.GetResults(id)
-							if err != nil {
-								t.Fatal(err)
-							}
-							compareResults(t, i, want[i], got, !faults)
-						}
+					}
 
-						if useQC {
-							oh, om := oracle.CacheStats()
-							sh, sm := shared.CacheStats()
-							if oh != sh || om != sm {
-								t.Fatalf("cache stats diverge: oracle %d/%d, shared %d/%d", oh, om, sh, sm)
-							}
-							if q >= 7 && oh == 0 {
-								t.Fatalf("suite expected cache hits at Q=%d, got none", q)
-							}
+					shared, model2, db2 := newEqEngine(t, opts, features, useQC)
+					if model2 != model || db2 != db {
+						t.Fatalf("engines constructed differently: model %d/%d db %d/%d", model, model2, db, db2)
+					}
+					ids, err := shared.QueryMulti(specs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(ids) != q {
+						t.Fatalf("QueryMulti returned %d ids for %d specs", len(ids), q)
+					}
+					for i, id := range ids {
+						got, err := shared.GetResults(id)
+						if err != nil {
+							t.Fatal(err)
 						}
-					})
-				}
+						compareResults(t, i, want[i], got, !faults)
+					}
+
+					if useQC {
+						oh, om := oracle.CacheStats()
+						sh, sm := shared.CacheStats()
+						if oh != sh || om != sm {
+							t.Fatalf("cache stats diverge: oracle %d/%d, shared %d/%d", oh, om, sh, sm)
+						}
+						if q >= 7 && oh == 0 {
+							t.Fatalf("suite expected cache hits at Q=%d, got none", q)
+						}
+					}
+				})
 			}
 		}
 	}

@@ -9,75 +9,71 @@ import (
 	"repro/internal/workload"
 )
 
-// TestStageSumsMatchLatency: for every scan mode, each query's recorded stage
-// durations sum exactly (integer picoseconds) to its end-to-end latency — on
+// TestStageSumsMatchLatency: each query's recorded stage durations sum
+// exactly (integer picoseconds) to its end-to-end latency — on
 // the miss path, on the cache-hit path, and after repeated GetResults calls
 // each of which appends a dma stage and extends the latency by the same
 // amount.
 func TestStageSumsMatchLatency(t *testing.T) {
-	for _, mode := range []ScanMode{ScanBatched, ScanPerFeature, ScanSerial} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Scan = mode
-			ds, db, model, dbID := buildEngine(t, opts, "TextQA", 300)
-			if err := ds.SetQC(perfectQCN(len(db.Vectors[0])), 1.0, 16, 0.2); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("batched", func(t *testing.T) {
+		ds, db, model, dbID := buildEngine(t, DefaultOptions(), "TextQA", 300)
+		if err := ds.SetQC(perfectQCN(len(db.Vectors[0])), 1.0, 16, 0.2); err != nil {
+			t.Fatal(err)
+		}
 
-			check := func(res *QueryResult, what string) {
-				t.Helper()
-				if len(res.Stages) == 0 {
-					t.Fatalf("%s: no stages recorded", what)
-				}
-				if got := obs.SumStages(res.Stages); got != res.Latency {
-					t.Fatalf("%s: stages sum to %v, latency %v (stages %+v)",
-						what, got, res.Latency, res.Stages)
-				}
+		check := func(res *QueryResult, what string) {
+			t.Helper()
+			if len(res.Stages) == 0 {
+				t.Fatalf("%s: no stages recorded", what)
 			}
+			if got := obs.SumStages(res.Stages); got != res.Latency {
+				t.Fatalf("%s: stages sum to %v, latency %v (stages %+v)",
+					what, got, res.Latency, res.Stages)
+			}
+		}
 
-			// Miss path: first sight of this QFV scans the database.
-			qfv := db.Vectors[5]
-			qid, err := ds.Query(QuerySpec{QFV: qfv, K: 5, Model: model, DB: dbID})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := ds.GetResults(qid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(res, "miss")
-			if res.CacheHit {
-				t.Fatal("first query reported a cache hit")
-			}
+		// Miss path: first sight of this QFV scans the database.
+		qfv := db.Vectors[5]
+		qid, err := ds.Query(QuerySpec{QFV: qfv, K: 5, Model: model, DB: dbID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ds.GetResults(qid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(res, "miss")
+		if res.CacheHit {
+			t.Fatal("first query reported a cache hit")
+		}
 
-			// A second GetResults appends another dma stage; the invariant
-			// must survive the mutation.
-			res2, err := ds.GetResults(qid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(res2, "miss+2xDMA")
-			if len(res2.Stages) != len(res.Stages)+1 {
-				t.Fatalf("second GetResults added %d stages, want 1",
-					len(res2.Stages)-len(res.Stages))
-			}
+		// A second GetResults appends another dma stage; the invariant
+		// must survive the mutation.
+		res2, err := ds.GetResults(qid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(res2, "miss+2xDMA")
+		if len(res2.Stages) != len(res.Stages)+1 {
+			t.Fatalf("second GetResults added %d stages, want 1",
+				len(res2.Stages)-len(res.Stages))
+		}
 
-			// Hit path: the identical QFV scores ~1 under the perfect QCN and
-			// reranks the cached top-K instead of scanning.
-			qid2, err := ds.Query(QuerySpec{QFV: qfv, K: 5, Model: model, DB: dbID})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hit, err := ds.GetResults(qid2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !hit.CacheHit {
-				t.Fatal("repeated query missed the cache")
-			}
-			check(hit, "hit")
-		})
-	}
+		// Hit path: the identical QFV scores ~1 under the perfect QCN and
+		// reranks the cached top-K instead of scanning.
+		qid2, err := ds.Query(QuerySpec{QFV: qfv, K: 5, Model: model, DB: dbID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit, err := ds.GetResults(qid2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.CacheHit {
+			t.Fatal("repeated query missed the cache")
+		}
+		check(hit, "hit")
+	})
 }
 
 // TestReplayStageTotals: ReplayTrace's aggregated stage stats sum to its

@@ -5,15 +5,13 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/topk"
 	"repro/internal/workload"
 )
 
-// TestScoreRangeParallelMatchesSerial: both parallel scans — the per-feature
-// worker pool and the batched GEMM path — return byte-identical top-K (IDs,
-// scores, ObjectIDs, order) to the serial reference across K values and
-// ranges that do not align with channel boundaries (the default geometry has
-// 32 channels; ranges below start and end mid-stripe).
+// TestScoreRangeParallelMatchesSerial: the stripe walk returns byte-identical
+// top-K (IDs, scores, ObjectIDs, order) to the serial oracle across K values
+// and ranges that do not align with channel boundaries (the default geometry
+// has 32 channels; ranges below start and end mid-stripe).
 func TestScoreRangeParallelMatchesSerial(t *testing.T) {
 	const features = 2000
 	ds, err := New(DefaultOptions())
@@ -52,66 +50,9 @@ func TestScoreRangeParallelMatchesSerial(t *testing.T) {
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("K=%d/%s", k, c.name), func(t *testing.T) {
 				serial, _ := ds.scoreRangeSerial(net, st, q, c.start, c.end, k)
-				perFeature, _ := ds.scoreRangePerFeature(net, st, q, c.start, c.end, k)
-				batched, _ := ds.scoreRangeBatched(net, st, q, c.start, c.end, k)
-				impls := map[string][]topk.Entry{
-					"per-feature": perFeature,
-					"batched":     batched,
-				}
-				for name, got := range impls {
-					if len(serial) != len(got) {
-						t.Fatalf("%s returned %d entries, serial %d", name, len(got), len(serial))
-					}
-					for i := range serial {
-						if serial[i] != got[i] {
-							t.Fatalf("%s entry %d differs: %+v != serial %+v", name, i, got[i], serial[i])
-						}
-					}
-				}
+				walked, _ := ds.walkOne(net, st, q, c.start, c.end, k)
+				assertSameTopK(t, "walk vs serial", walked, serial)
 			})
-		}
-	}
-}
-
-// TestQuerySerialOptionMatchesParallel: the SerialScoring escape hatch and
-// the default pool return identical query results end to end.
-func TestQuerySerialOptionMatchesParallel(t *testing.T) {
-	run := func(serial bool) []topk.Entry {
-		opts := DefaultOptions()
-		opts.SerialScoring = serial
-		ds, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		app, _ := workload.ByName("TextQA")
-		app.SCN.InitRandom(1)
-		db := workload.NewFeatureDB(app, 500, 42)
-		dbID, err := ds.WriteDB(db.Vectors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model, err := ds.LoadModelNetwork(app.SCN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qid, err := ds.Query(QuerySpec{QFV: db.Vectors[3], K: 10, Model: model, DB: dbID})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ds.GetResults(qid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TopK
-	}
-	serial := run(true)
-	parallel := run(false)
-	if len(serial) != len(parallel) {
-		t.Fatalf("result sizes differ: %d vs %d", len(parallel), len(serial))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, parallel[i], serial[i])
 		}
 	}
 }

@@ -7,230 +7,186 @@ import (
 	"repro/internal/topk"
 )
 
-// batchCtx is one worker's batched-scoring context: a BatchScorer plus the
-// gather/scatter scratch the scan loop fills between GEMM calls — the
-// feature-vector slots, their feature IDs and object IDs, and the score
-// output. Everything is sized to the engine's score batch at construction,
-// so a worker that holds a batchCtx scores its whole stripe without
-// allocating. On a quantized engine the context additionally carries the
-// int8 scorer and quantized-vector slots (qbs/qdfvs); a scan uses one family
-// or the other, never both.
-type batchCtx struct {
-	bs     *nn.BatchScorer
-	dfvs   [][]float32
-	ids    []int64
-	objs   []uint64
-	scores []float32
-	qbs    *nn.QuantBatchScorer
-	qdfvs  []nn.QuantizedVector
+// featureScorer hides the format of the feature table a walk reads: gather
+// loads database feature i into batch slot j, and score scores the first n
+// slots against every query of the walk in one batched call, writing
+// rows[q][j]. The fp32 and int8 implementations offer identical slots in
+// identical order, so the walk's queue discipline does not depend on the
+// format.
+type featureScorer interface {
+	gather(j int, i int64)
+	score(rows [][]float32, n int)
 }
 
-// reset drops the feature-vector references so pooled contexts do not pin
-// database memory between queries.
-func (c *batchCtx) reset() {
-	for i := range c.dfvs {
-		c.dfvs[i] = nil
-	}
-	for i := range c.qdfvs {
-		c.qdfvs[i] = nn.QuantizedVector{}
-	}
+// fp32Scorer scores the float32 feature vectors through nn.BatchScorer.
+type fp32Scorer struct {
+	bs   *nn.BatchScorer
+	db   [][]float32 // the walk's database
+	qfvs [][]float32 // the walk's queries
+	dfvs [][]float32 // gather slots
 }
 
-// flush scores the gathered batch against qfv and offers the entries in
-// gather order.
-func (c *batchCtx) flushQ(q *topk.Queue, qq nn.QuantQuery, n int) {
-	if n == 0 {
-		return
-	}
-	c.qbs.ScoreBatch(c.scores[:n], qq, c.qdfvs[:n])
-	for j := 0; j < n; j++ {
-		q.Offer(topk.Entry{
-			FeatureID: c.ids[j],
-			Score:     c.scores[j],
-			ObjectID:  c.objs[j],
-		})
-	}
+func (s *fp32Scorer) gather(j int, i int64) { s.dfvs[j] = s.db[i] }
+
+func (s *fp32Scorer) score(rows [][]float32, n int) {
+	s.bs.ScoreMulti(rows, s.qfvs, s.dfvs[:n])
 }
 
-// multiScoreRows is the row capacity of the pooled multi-query BatchScorer:
-// one ScoreMulti chunk packs up to this many (query, feature) pair rows per
-// GEMM pass, so shared sweeps get large matrix-matrix tiles even when the
-// gather batch is the single-query default. Scratch scales with it × the
-// widest activation, which keeps per-worker memory in the low megabytes.
+// int8Scorer scores the quantized feature table through
+// nn.QuantBatchScorer.
+type int8Scorer struct {
+	bs   *nn.QuantBatchScorer
+	db   []nn.QuantizedVector
+	qs   []nn.QuantQuery
+	dfvs []nn.QuantizedVector
+}
+
+func (s *int8Scorer) gather(j int, i int64) { s.dfvs[j] = s.db[i] }
+
+func (s *int8Scorer) score(rows [][]float32, n int) {
+	s.bs.ScoreMulti(rows, s.qs, s.dfvs[:n])
+}
+
+// multiScoreRows is the row capacity of the scorers a multi-query walk
+// draws: one ScoreMulti chunk packs up to this many (query, feature) pair
+// rows per GEMM pass, so shared sweeps get large matrix-matrix tiles even
+// though each gather holds only the default score batch. A single-query
+// walk draws scorers sized at the gather batch instead, which keeps its
+// per-worker scratch at a fraction of this (e.g. 0.33 MB vs 2.6 MB on TIR).
 const multiScoreRows = 512
 
-// multiCtx is one worker's shared-sweep context: a wide BatchScorer plus
-// the same gather scratch batchCtx carries. Per-query score rows are
-// allocated by the sweep (their count depends on the batch's Q).
-type multiCtx struct {
-	bs    *nn.BatchScorer
-	dfvs  [][]float32
-	ids   []int64
-	objs  []uint64
-	qbs   *nn.QuantBatchScorer
-	qdfvs []nn.QuantizedVector
+// scanCtx is one worker's pooled scan context: the fp32 scorer (plus the
+// int8 scorer on a quantized engine), the gather scratch the walk fills
+// between scoring calls — feature IDs and object IDs per slot — and the
+// per-query state a worker keeps across channels (score rows, the current
+// channel's queues, skip masks and skip accounting). Slot scratch is sized
+// to the engine's score batch at construction and the per-query slices
+// grow to the largest Q seen, so a warm context walks without allocating.
+type scanCtx struct {
+	pool *sync.Pool
+	f32  fp32Scorer
+	i8   int8Scorer // bs is nil unless the engine is quantized
+	bnd  *nn.BoundScorer
+	ids  []int64
+	objs []uint64
+
+	rows   [][]float32
+	qs     []*topk.Queue
+	active []bool
+	stats  []pruneStats
 }
 
-func (c *multiCtx) reset() {
-	for i := range c.dfvs {
-		c.dfvs[i] = nil
+// bind points the context at one walk's database and queries and sizes its
+// per-query state for them, returning the scorer for the table the walk
+// reads (the int8 table when qt is non-nil).
+func (c *scanCtx) bind(st *dbState, qt *quantState, wq []walkQuery, qqs []nn.QuantQuery) featureScorer {
+	for len(c.rows) < len(wq) {
+		c.rows = append(c.rows, make([]float32, len(c.ids)))
+		c.qs = append(c.qs, nil)
+		c.active = append(c.active, false)
+		c.stats = append(c.stats, pruneStats{})
 	}
-	for i := range c.qdfvs {
-		c.qdfvs[i] = nn.QuantizedVector{}
+	clear(c.stats[:len(wq)])
+	if qt != nil {
+		c.i8.db, c.i8.qs = qt.vecs, qqs
+		return &c.i8
 	}
+	c.f32.db = st.vectors
+	c.f32.qfvs = c.f32.qfvs[:0]
+	for q := range wq {
+		c.f32.qfvs = append(c.f32.qfvs, wq[q].qfv)
+	}
+	return &c.f32
 }
 
-// flushMulti scores the gathered features against every query in one
-// ScoreMulti call and offers each query's entries in gather order. When the
-// pruning tier is active, active masks which queries this segment still
-// scans: inactive queries' offers are withheld so their queues evolve
-// exactly as their independent pruned scans would (nil = all active).
-func (c *multiCtx) flushMulti(qs []*topk.Queue, scores [][]float32, qfvs [][]float32, n int, active []bool) {
+// drain scores the n gathered slots against every query and offers each
+// active query's scores to its queue in slot order (nil active means every
+// query).
+func (c *scanCtx) drain(sc featureScorer, qs []*topk.Queue, n int, active []bool) {
 	if n == 0 {
 		return
 	}
-	c.bs.ScoreMulti(scores, qfvs, c.dfvs[:n])
-	c.offerMulti(qs, scores, n, active)
-}
-
-// flushMultiQ is flushMulti's quantized counterpart: same offer discipline,
-// int8 scoring.
-func (c *multiCtx) flushMultiQ(qs []*topk.Queue, scores [][]float32, qqs []nn.QuantQuery, n int, active []bool) {
-	if n == 0 {
-		return
-	}
-	c.qbs.ScoreMulti(scores, qqs, c.qdfvs[:n])
-	c.offerMulti(qs, scores, n, active)
-}
-
-func (c *multiCtx) offerMulti(qs []*topk.Queue, scores [][]float32, n int, active []bool) {
-	for q := range qs {
+	sc.score(c.rows, n)
+	for q, queue := range qs {
 		if active != nil && !active[q] {
 			continue
 		}
-		row := scores[q]
+		row := c.rows[q]
 		for j := 0; j < n; j++ {
-			qs[q].Offer(topk.Entry{
-				FeatureID: c.ids[j],
-				Score:     row[j],
-				ObjectID:  c.objs[j],
-			})
+			queue.Offer(topk.Entry{FeatureID: c.ids[j], Score: row[j], ObjectID: c.objs[j]})
 		}
 	}
 }
 
-// batchPools hands out per-worker batchCtxs, one sync.Pool per network (a
-// BatchScorer's scratch is shaped by its network, so contexts cannot be
-// shared across models). Get/put are called from scan workers without the
-// engine mutex; the map is guarded by its own mutex and the pools themselves
-// are concurrency-safe. On a quantized engine the pools also memoize one
+// release drops every reference to the walk's database, queries and queues
+// so a pooled context pins no memory between scans, and returns it to its
+// pool.
+func (c *scanCtx) release() {
+	clear(c.f32.dfvs)
+	clear(c.f32.qfvs)
+	clear(c.i8.dfvs)
+	clear(c.qs)
+	c.f32.db, c.f32.qfvs = nil, c.f32.qfvs[:0]
+	c.i8.db, c.i8.qs = nil, nil
+	c.pool.Put(c)
+}
+
+// poolKey identifies one family of interchangeable contexts: a scorer's
+// scratch is shaped by its network and its row capacity.
+type poolKey struct {
+	net  *nn.Network
+	rows int
+}
+
+// batchPools hands out per-worker scanCtxs, one sync.Pool per (network,
+// scorer rows). Get is called from scan workers without the engine mutex;
+// the map is guarded by its own mutex and the pools themselves are
+// concurrency-safe. On a quantized engine the pools also memoize one
 // QuantNetwork per network (the int8 weight images are immutable and shared;
 // per-worker scratch stays in the contexts).
 type batchPools struct {
-	mu        sync.Mutex
+	mu sync.Mutex
+	// batch is the gather slots per context: DefaultScoreBatch, except in
+	// tests that check results do not depend on batch geometry.
 	batch     int
 	quantized bool
-	pools     map[*nn.Network]*sync.Pool
-	multi     map[*nn.Network]*sync.Pool
+	pools     map[poolKey]*sync.Pool
 	qnets     map[*nn.Network]*nn.QuantNetwork
 }
 
-// quantNetLocked returns the memoized int8 image of net. Caller holds p.mu.
-func (p *batchPools) quantNetLocked(net *nn.Network) *nn.QuantNetwork {
-	if p.qnets == nil {
-		p.qnets = make(map[*nn.Network]*nn.QuantNetwork)
-	}
-	qn, ok := p.qnets[net]
-	if !ok {
-		qn = net.Quantize()
-		p.qnets[net] = qn
-	}
-	return qn
-}
-
-// quant returns the memoized int8 image of net (for per-feature and serial
-// scan workers that build their own small scorers).
-func (p *batchPools) quant(net *nn.Network) *nn.QuantNetwork {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.quantNetLocked(net)
-}
-
-func (p *batchPools) get(net *nn.Network) *batchCtx {
+// get returns a context whose scorers hold rows rows; release returns it.
+func (p *batchPools) get(net *nn.Network, rows int) *scanCtx {
 	p.mu.Lock()
 	if p.pools == nil {
-		p.pools = make(map[*nn.Network]*sync.Pool)
+		p.pools = make(map[poolKey]*sync.Pool)
+		p.qnets = make(map[*nn.Network]*nn.QuantNetwork)
 	}
-	pool, ok := p.pools[net]
+	key := poolKey{net, rows}
+	pool, ok := p.pools[key]
 	if !ok {
 		b := p.batch
 		var qn *nn.QuantNetwork
 		if p.quantized {
-			qn = p.quantNetLocked(net)
-		}
-		pool = &sync.Pool{New: func() any {
-			c := &batchCtx{
-				bs:     net.BatchScorer(b),
-				dfvs:   make([][]float32, b),
-				ids:    make([]int64, b),
-				objs:   make([]uint64, b),
-				scores: make([]float32, b),
+			if qn, ok = p.qnets[net]; !ok {
+				qn = net.Quantize()
+				p.qnets[net] = qn
 			}
-			if qn != nil {
-				c.qbs = qn.BatchScorer(b)
-				c.qdfvs = make([]nn.QuantizedVector, b)
-			}
-			return c
-		}}
-		p.pools[net] = pool
-	}
-	p.mu.Unlock()
-	return pool.Get().(*batchCtx)
-}
-
-func (p *batchPools) put(net *nn.Network, c *batchCtx) {
-	c.reset()
-	p.mu.Lock()
-	pool := p.pools[net]
-	p.mu.Unlock()
-	pool.Put(c)
-}
-
-func (p *batchPools) getMulti(net *nn.Network) *multiCtx {
-	p.mu.Lock()
-	if p.multi == nil {
-		p.multi = make(map[*nn.Network]*sync.Pool)
-	}
-	pool, ok := p.multi[net]
-	if !ok {
-		b := p.batch
-		var qn *nn.QuantNetwork
-		if p.quantized {
-			qn = p.quantNetLocked(net)
 		}
-		pool = &sync.Pool{New: func() any {
-			c := &multiCtx{
-				bs:   net.BatchScorer(multiScoreRows),
-				dfvs: make([][]float32, b),
+		pool = &sync.Pool{}
+		pool.New = func() any {
+			c := &scanCtx{
+				pool: pool,
+				f32:  fp32Scorer{bs: net.BatchScorer(rows), dfvs: make([][]float32, b)},
 				ids:  make([]int64, b),
 				objs: make([]uint64, b),
 			}
 			if qn != nil {
-				c.qbs = qn.BatchScorer(multiScoreRows)
-				c.qdfvs = make([]nn.QuantizedVector, b)
+				c.i8 = int8Scorer{bs: qn.BatchScorer(rows), dfvs: make([]nn.QuantizedVector, b)}
 			}
 			return c
-		}}
-		p.multi[net] = pool
+		}
+		p.pools[key] = pool
 	}
 	p.mu.Unlock()
-	return pool.Get().(*multiCtx)
-}
-
-func (p *batchPools) putMulti(net *nn.Network, c *multiCtx) {
-	c.reset()
-	p.mu.Lock()
-	pool := p.multi[net]
-	p.mu.Unlock()
-	pool.Put(c)
+	return pool.Get().(*scanCtx)
 }

@@ -39,13 +39,21 @@ func (ds *DeepStore) quantFor(st *dbState) *quantState {
 	return st.quant
 }
 
-// twoPass reports whether quantized scans run the exact two-pass mode and
-// the scan-phase candidate count for a final top-K of k.
-func (ds *DeepStore) twoPass(k int) (bool, int) {
-	if ds.opts.RerankMargin > 0 {
-		return true, k * ds.opts.RerankMargin
+// twoPass reports whether scans of st run the exact two-pass mode.
+func (ds *DeepStore) twoPass(st *dbState) bool {
+	return ds.quantFor(st) != nil && ds.opts.RerankMargin > 0
+}
+
+// scanK is the scan-phase top-K for a final top-K of k over n features:
+// k·RerankMargin candidates in two-pass mode, k otherwise. k is clamped to n
+// first — a top-K never holds more than n entries — so the multiply cannot
+// overflow.
+func (ds *DeepStore) scanK(st *dbState, k int, n int64) int {
+	k = queueCap(k, n)
+	if ds.twoPass(st) {
+		return k * ds.opts.RerankMargin
 	}
-	return false, k
+	return k
 }
 
 // buildQuantState quantizes the database's vectors, allocates and programs

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ftl"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/qcache"
 	"repro/internal/sim"
 	"repro/internal/systolic"
 	"repro/internal/topk"
@@ -51,153 +52,172 @@ func (ds *DeepStore) Query(spec QuerySpec) (QueryID, error) {
 	return ds.queryLocked(spec)
 }
 
+// queryItem is one query on its way through the engine: its resolved spec
+// plus the cache decision carried from the lookup to the scan and finish
+// steps. Query handles one; QueryMulti handles a batch.
+type queryItem struct {
+	spec  QuerySpec
+	st    *dbState
+	net   *nn.Network
+	level accel.Level
+	start int64
+	end   int64
+
+	result       *QueryResult
+	lookupLat    sim.Duration
+	lookupEnergy energy.Breakdown
+	hit          bool
+	cached       qcache.Entry[[]float32]
+	// pending is QueryMulti's query-cache entry result slice, inserted at
+	// lookup time (preserving per-submission cache order) and filled after
+	// the shared sweep computes the real top-K.
+	pending []topk.Entry
+}
+
 // resolveSpec validates a query spec against the engine's tables and
 // resolves its defaults (full-DB range, engine-default accelerator level).
 // Callers hold ds.mu.
-func (ds *DeepStore) resolveSpec(spec QuerySpec) (st *dbState, net *nn.Network, level accel.Level, start, end int64, err error) {
-	st, err = ds.db(spec.DB)
-	if err != nil {
-		return
+func (ds *DeepStore) resolveSpec(spec QuerySpec) (queryItem, error) {
+	it := queryItem{spec: spec, result: &QueryResult{}}
+	var err error
+	if it.st, err = ds.db(spec.DB); err != nil {
+		return it, err
 	}
-	net, err = ds.model(spec.Model)
-	if err != nil {
-		return
+	if it.net, err = ds.model(spec.Model); err != nil {
+		return it, err
 	}
 	if spec.K < 1 {
-		err = fmt.Errorf("core: top-K %d < 1", spec.K)
-		return
+		return it, fmt.Errorf("core: top-K %d < 1", spec.K)
 	}
-	layout := st.meta.Layout
+	layout := it.st.meta.Layout
 	if int64(len(spec.QFV))*4 != layout.FeatureBytes {
-		err = fmt.Errorf("core: query feature has %d dims, database stores %d-byte features",
+		return it, fmt.Errorf("core: query feature has %d dims, database stores %d-byte features",
 			len(spec.QFV), layout.FeatureBytes)
-		return
 	}
-	if net.FeatureBytes() != layout.FeatureBytes {
-		err = fmt.Errorf("core: model %q expects %d-byte features, database stores %d",
-			net.Name, net.FeatureBytes(), layout.FeatureBytes)
-		return
+	if it.net.FeatureBytes() != layout.FeatureBytes {
+		return it, fmt.Errorf("core: model %q expects %d-byte features, database stores %d",
+			it.net.Name, it.net.FeatureBytes(), layout.FeatureBytes)
 	}
-	start, end = spec.DBStart, spec.DBEnd
-	if end == 0 {
-		end = layout.Features
+	it.start, it.end = spec.DBStart, spec.DBEnd
+	if it.end == 0 {
+		it.end = layout.Features
 	}
-	if start < 0 || end > layout.Features || start >= end {
-		err = fmt.Errorf("core: query range [%d, %d) invalid for %d features", start, end, layout.Features)
-		return
+	if it.start < 0 || it.end > layout.Features || it.start >= it.end {
+		return it, fmt.Errorf("core: query range [%d, %d) invalid for %d features", it.start, it.end, layout.Features)
 	}
-	level = ds.opts.DefaultLevel
+	it.level = ds.opts.DefaultLevel
 	if spec.Level != nil {
-		level = *spec.Level
+		it.level = *spec.Level
 	}
-	return
+	if it.level < accel.LevelSSD || it.level > accel.LevelChip {
+		return it, fmt.Errorf("core: unknown accelerator level %d", int(it.level))
+	}
+	return it, nil
 }
 
 func (ds *DeepStore) queryLocked(spec QuerySpec) (QueryID, error) {
-	st, net, level, start, end, err := ds.resolveSpec(spec)
+	it, err := ds.resolveSpec(spec)
 	if err != nil {
 		return 0, err
 	}
-
 	t0 := ds.engine.Now()
-	result := &QueryResult{}
-
-	// Query-cache lookup (Algorithm 1). The QCN comparisons execute on the
-	// channel-level accelerators; their latency AND energy are charged per
-	// entry (the comparisons run on real hardware either way — omitting
-	// their joules would overstate the cache's Fig. 13/14 energy win).
-	var lookupLatency sim.Duration
-	var lookupEnergy energy.Breakdown
-	if ds.qc != nil {
-		entries := ds.qc.Len()
-		cached, hit := ds.qc.Lookup(spec.QFV, ds.qcThreshold)
-		lookupLatency = ds.qcLookupLatency(entries)
-		lookupEnergy = ds.comparisonEnergy(ds.qcn, accel.LevelChannel, int64(entries))
-		if hit {
-			// Line 13: re-rank the cached entry's features against the
-			// new query with the SCN.
-			result.CacheHit = true
-			result.TopK = ds.rerank(net, st, spec.QFV, cached.Results, spec.K)
-			result.FeaturesScanned = int64(len(cached.Results))
-			rerankLat := ds.rerankLatency(net, level, int64(len(cached.Results)))
-			result.Latency = lookupLatency + rerankLat
-			result.Stages = []obs.Stage{
-				{Name: obs.StageQCacheLookup, Dur: lookupLatency},
-				{Name: obs.StageRerank, Dur: rerankLat},
-			}
-			result.Energy = lookupEnergy
-			result.Energy.Add(ds.comparisonEnergy(net, level, int64(len(cached.Results))))
-			ds.appendHistory(spec, result)
-			ds.finishQuery(result)
-			id := ds.record(result)
-			ds.emitQuerySpans(id, t0, result)
-			return id, nil
-		}
+	ds.lookup(&it)
+	if it.hit {
+		ds.chargeHit(&it)
+		return ds.finishQuery(&it, t0), nil
 	}
 
 	// Miss: scan of the requested range, mapped across accelerators. The
-	// functional scoring runs first — with the pruning tier active it also
+	// functional walk runs first — with the pruning tier active it also
 	// decides which stripes the hardware would skip — and the event-driven
-	// scan is then charged for exactly the surviving features. On a quantized
-	// engine in two-pass exact mode the scan phase collects K·margin
-	// candidates; the fp32 rerank below restores the exact top-K.
-	tier := ds.pruneTier(st)
-	exact, kScan := false, spec.K
-	if ds.quantFor(st) != nil {
-		exact, kScan = ds.twoPass(spec.K)
-	}
-	var ps pruneStats
-	result.TopK, ps = ds.scoreRange(net, st, spec.QFV, start, end, kScan)
-	survivors := end - start - ps.featuresSkipped
-	scanOut, err := ds.simulateScanCount(net, st, level, survivors)
+	// scan is then charged for exactly the surviving features.
+	w := []walkQuery{{qfv: spec.QFV, k: ds.scanK(it.st, spec.K, it.end-it.start)}}
+	ds.walk(it.net, it.st, w, it.start, it.end)
+	scanOut, err := ds.simulateScanCount(it.net, it.st, it.level, it.end-it.start-w[0].stats.featuresSkipped)
 	if err != nil {
 		return 0, err
 	}
-	result.FeaturesScanned = survivors
-	result.Prune = PruneStats{
+	ds.chargeMiss(&it, &w[0], scanOut, obs.StageScan)
+	if ds.qc != nil {
+		ds.qc.Insert(cloneVec(spec.QFV), it.result.TopK)
+	}
+	return ds.finishQuery(&it, t0), nil
+}
+
+// lookup runs the query-cache sweep for it (Algorithm 1). The QCN
+// comparisons execute on the channel-level accelerators; their latency AND
+// energy are charged per entry (the comparisons run on real hardware either
+// way — omitting their joules would overstate the cache's Fig. 13/14 energy
+// win).
+func (ds *DeepStore) lookup(it *queryItem) {
+	if ds.qc == nil {
+		return
+	}
+	entries := ds.qc.Len()
+	it.cached, it.hit = ds.qc.Lookup(it.spec.QFV, ds.qcThreshold)
+	it.lookupLat = ds.qcLookupLatency(entries)
+	it.lookupEnergy = ds.comparisonEnergy(ds.qcn, accel.LevelChannel, int64(entries))
+}
+
+// chargeHit fills a cache hit's result. Line 13 of Algorithm 1 re-ranks the
+// cached entry's features against the new query with the SCN; the query
+// pays the lookup plus that rerank.
+func (ds *DeepStore) chargeHit(it *queryItem) {
+	r := it.result
+	n := int64(len(it.cached.Results))
+	r.CacheHit = true
+	r.TopK = ds.rerank(it.net, it.st, it.spec.QFV, it.cached.Results, it.spec.K)
+	r.FeaturesScanned = n
+	rerankLat := ds.rerankLatency(it.net, it.level, n)
+	r.Latency = it.lookupLat + rerankLat
+	r.Stages = []obs.Stage{
+		{Name: obs.StageQCacheLookup, Dur: it.lookupLat},
+		{Name: obs.StageRerank, Dur: rerankLat},
+	}
+	r.Energy = it.lookupEnergy
+	r.Energy.Add(ds.comparisonEnergy(it.net, it.level, n))
+}
+
+// chargeMiss fills a cache miss's result from its functional walk w and its
+// event-driven scan: features scanned and skipped, then the latency, stage
+// and energy of the lookup (with a cache configured), bound_check (with the
+// pruning tier active), the scan (named scanStage) and, in two-pass exact
+// quantized mode, rerank_exact. In that mode the walk collected K·margin int8
+// candidates, and the fp32 rerank restores the exact top-K; it batches
+// through the same pooled GEMM path, and topk's strict (score, featureID)
+// total order makes the result independent of candidate order.
+func (ds *DeepStore) chargeMiss(it *queryItem, w *walkQuery, scanOut accel.ScanResult, scanStage string) {
+	r := it.result
+	ps := w.stats
+	r.FeaturesScanned = it.end - it.start - ps.featuresSkipped
+	r.Prune = PruneStats{
 		StripesChecked:  ps.checked,
 		StripesSkipped:  ps.skipped,
 		FeaturesSkipped: ps.featuresSkipped,
 	}
-	var boundLat sim.Duration
-	if tier != nil {
-		boundLat = ds.boundCheckLatency(net, level, tier, ps.checked)
+	r.Latency = it.lookupLat + scanOut.Elapsed
+	if ds.qc != nil {
+		r.Stages = append(r.Stages, obs.Stage{Name: obs.StageQCacheLookup, Dur: it.lookupLat})
+	}
+	r.Energy = it.lookupEnergy
+	if tier := ds.pruneTier(it.st); tier != nil {
+		boundLat := ds.boundCheckLatency(it.net, it.level, tier, ps.checked)
 		ds.recordPruneStats(ps)
+		r.Latency += boundLat
+		r.Stages = append(r.Stages, obs.Stage{Name: obs.StageBoundCheck, Dur: boundLat})
+		r.Energy.Add(ds.boundCheckEnergy(it.net, it.level, tier, ps.checked))
 	}
-	result.Latency = lookupLatency + boundLat + scanOut.Elapsed
-	if ds.qc != nil {
-		result.Stages = append(result.Stages, obs.Stage{Name: obs.StageQCacheLookup, Dur: lookupLatency})
+	r.Stages = append(r.Stages, obs.Stage{Name: scanStage, Dur: scanOut.Elapsed})
+	r.Energy.Add(ds.emodel.Energy(scanOut.Activity))
+	r.TopK = w.top
+	if ds.twoPass(it.st) {
+		cands := int64(len(w.top))
+		r.TopK = ds.rerank(it.net, it.st, it.spec.QFV, w.top, it.spec.K)
+		rrLat := ds.rerankExactLatency(it.net, it.st, it.level, cands)
+		r.Latency += rrLat
+		r.Stages = append(r.Stages, obs.Stage{Name: obs.StageRerankExact, Dur: rrLat})
+		r.Energy.Add(ds.rerankExactEnergy(it.net, it.st, it.level, cands))
 	}
-	if tier != nil {
-		result.Stages = append(result.Stages, obs.Stage{Name: obs.StageBoundCheck, Dur: boundLat})
-	}
-	result.Stages = append(result.Stages, obs.Stage{Name: obs.StageScan, Dur: scanOut.Elapsed})
-	result.Energy = lookupEnergy
-	if tier != nil {
-		result.Energy.Add(ds.boundCheckEnergy(net, level, tier, ps.checked))
-	}
-	result.Energy.Add(ds.emodel.Energy(scanOut.Activity))
-	if exact {
-		// Second pass: re-score the int8 candidate set at full precision.
-		// The fp32 rerank batches through the same pooled GEMM path, and
-		// topk's strict (score, featureID) total order makes the final top-K
-		// independent of candidate order.
-		cands := int64(len(result.TopK))
-		result.TopK = ds.rerank(net, st, spec.QFV, result.TopK, spec.K)
-		rrLat := ds.rerankExactLatency(net, st, level, cands)
-		result.Latency += rrLat
-		result.Stages = append(result.Stages, obs.Stage{Name: obs.StageRerankExact, Dur: rrLat})
-		result.Energy.Add(ds.rerankExactEnergy(net, st, level, cands))
-	}
-
-	if ds.qc != nil {
-		ds.qc.Insert(cloneVec(spec.QFV), result.TopK)
-	}
-	ds.appendHistory(spec, result)
-	ds.finishQuery(result)
-	id := ds.record(result)
-	ds.emitQuerySpans(id, t0, result)
-	return id, nil
 }
 
 // emitQuerySpans lays the query's stages out sequentially from t0 on the
@@ -213,10 +233,7 @@ func (ds *DeepStore) emitQuerySpans(id QueryID, t0 sim.Time, r *QueryResult) {
 	ds.tracer.Add(obs.Span{
 		Name: "query", Cat: "core", TID: int64(id),
 		Start: t0, Dur: r.Latency,
-		Args: map[string]string{
-			"cache_hit": strconv.FormatBool(r.CacheHit),
-			"scan_mode": ds.scanMode().String(),
-		},
+		Args: map[string]string{"cache_hit": strconv.FormatBool(r.CacheHit)},
 	})
 	cursor := t0
 	for _, s := range r.Stages {
@@ -352,383 +369,46 @@ func (ds *DeepStore) recordPruneStats(ps pruneStats) {
 	ds.obs.Counter("core_prune_features_skipped").Add(ps.featuresSkipped)
 }
 
-// scoreRange computes real SCN scores over the materialized vectors — the
-// functional map-reduce of §4.7.1. The feature range is sharded per channel
-// (each shard is one channel's stripe, exactly the share that channel's
-// accelerator scans), a GOMAXPROCS-bounded worker pool drains the shards,
-// and the engine reduces the per-shard queues with topk.Merge. All scan
-// modes produce identical top-K results: every shard sees the same
-// comparisons in the same stripe order, batched scores match per-feature
-// scores (see nn.BatchScorer), and the merge's (score, featureID) total
-// order is independent of shard completion order. Declared (spec-only)
-// databases return an empty top-K.
-//
-// With the pruning tier active (ds.pruneTier(st) != nil) every mode makes
-// the same stripe-skip decisions at the same points — segment entry, with
-// the shard queue reflecting every earlier offer of that channel — so the
-// returned top-K stays bit-identical across modes AND against the dense
-// scan, and the skip accounting is mode-independent.
-func (ds *DeepStore) scoreRange(net *nn.Network, st *dbState, qfv []float32, start, end int64, k int) ([]topk.Entry, pruneStats) {
-	if st.vectors == nil {
-		return nil, pruneStats{}
-	}
-	switch ds.scanMode() {
-	case ScanSerial:
-		return ds.scoreRangeSerial(net, st, qfv, start, end, k)
-	case ScanPerFeature:
-		return ds.scoreRangePerFeature(net, st, qfv, start, end, k)
-	default:
-		return ds.scoreRangeBatched(net, st, qfv, start, end, k)
-	}
-}
-
-// skipStripe decides, at the entry of stripe seg of channel ch, whether the
-// whole remaining segment can be skipped. Sound because (a) the decision is
-// only taken when the shard queue is already full, (b) a full queue rejects
-// offers with Score <= Min() given that later features have larger
-// FeatureIDs (the queue's tie-break), and (c) the walk visits a channel's
-// features in ascending FeatureID order. Partial stripes (sub-range start/
-// end mid-stripe) are covered by the full stripe's envelope, which is a
-// superset of any sub-range's — the bound is merely looser, never unsound.
-func skipStripe(bnd *nn.BoundScorer, tier *boundTier, qfv []float32, q *topk.Queue, ch int, seg int64, ps *pruneStats) bool {
-	floor, full := q.Min()
-	if !full {
-		return false
-	}
-	ps.checked++
-	if bnd.UpperBound(qfv, &tier.envs[ch][seg]) <= floor {
-		ps.skipped++
-		return true
-	}
-	return false
-}
-
-// scoreRangeBatched is the default scan: each worker pulls channel stripes
-// and gathers stripe features into its pooled batchCtx, scoring a whole
-// batch per nn.BatchScorer call (cache-blocked GEMM) and offering the
-// entries to the shard queue in stripe order — so ordering, and therefore
-// the merged top-K, is identical to the per-feature walk. With the pruning
-// tier active the walk proceeds segment by segment, flushing the gather at
-// every segment boundary so the skip decision at the next segment's entry
-// sees the channel's complete queue state (the same state every other mode
-// sees there); batch composition does not affect scores, so the flush points
-// leave the top-K untouched.
-func (ds *DeepStore) scoreRangeBatched(net *nn.Network, st *dbState, qfv []float32, start, end int64, k int) ([]topk.Entry, pruneStats) {
-	layout := st.meta.Layout
-	channels := layout.Geom.Channels
-	tier := ds.pruneTier(st)
-	qt := ds.quantFor(st)
-	var qq nn.QuantQuery
-	if qt != nil {
-		qq = nn.PrepareQuantQuery(qfv)
-	}
-	shards := make([]*topk.Queue, channels)
-	stats := make([]pruneStats, channels)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > channels {
-		workers = channels
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	stride := int64(channels)
-	var nextShard atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := ds.pools.get(net)
-			defer ds.pools.put(net, ctx)
-			// gather/drain pick the fp32 or int8 family of the pooled
-			// context; both offer in the same gather order, so the merged
-			// top-K ordering properties are mode-independent.
-			batch := len(ctx.ids)
-			gather := func(i int64, n int) {
-				if qt != nil {
-					ctx.qdfvs[n] = qt.vecs[i]
-				} else {
-					ctx.dfvs[n] = st.vectors[i]
-				}
-				ctx.ids[n] = i
-				ctx.objs[n] = uint64(layout.Geom.Linear(layout.FeatureAddr(i)))
-			}
-			drain := func(q *topk.Queue, n int) {
-				if qt != nil {
-					ctx.flushQ(q, qq, n)
-				} else {
-					ctx.flush(q, qfv, n)
-				}
-			}
-			var bnd *nn.BoundScorer
-			if tier != nil {
-				bnd = net.BoundScorer()
-			}
-			for {
-				ch := int(nextShard.Add(1) - 1)
-				if ch >= channels {
-					return
-				}
-				q := topk.New(k)
-				// Feature i lives on channel i mod Channels (§4.4
-				// striping), so the shard walks its stripe directly.
-				first := start + ((int64(ch)-start)%stride+stride)%stride
-				if tier == nil {
-					n := 0
-					for i := first; i < end; i += stride {
-						gather(i, n)
-						n++
-						if n == batch {
-							drain(q, n)
-							n = 0
-						}
-					}
-					drain(q, n)
-					shards[ch] = q
-					continue
-				}
-				sf := tier.stripeFeatures
-				for i := first; i < end; {
-					seg := (i / stride) / sf
-					segEnd := int64(ch) + stride*(seg+1)*sf
-					if segEnd > end {
-						segEnd = end
-					}
-					if skipStripe(bnd, tier, qfv, q, ch, seg, &stats[ch]) {
-						stats[ch].featuresSkipped += (segEnd - i + stride - 1) / stride
-						i = segEnd
-						continue
-					}
-					n := 0
-					for ; i < segEnd; i += stride {
-						gather(i, n)
-						n++
-						if n == batch {
-							drain(q, n)
-							n = 0
-						}
-					}
-					// Segment boundary: drain so the next skip decision sees
-					// every offer of this channel so far.
-					drain(q, n)
-				}
-				shards[ch] = q
-			}
-		}()
-	}
-	wg.Wait()
-	var total pruneStats
-	for _, s := range stats {
-		total.add(s)
-	}
-	return topk.Merge(k, shards...).Results(), total
-}
-
-// flush scores the gathered features in one batched call and offers the
-// entries in gather order.
-func (c *batchCtx) flush(q *topk.Queue, qfv []float32, n int) {
-	if n == 0 {
-		return
-	}
-	c.bs.ScoreBatch(c.scores[:n], qfv, c.dfvs[:n])
-	for j := 0; j < n; j++ {
-		q.Offer(topk.Entry{
-			FeatureID: c.ids[j],
-			Score:     c.scores[j],
-			ObjectID:  c.objs[j],
-		})
-	}
-}
-
-// scoreRangePerFeature scores one feature per nn.Scorer call across the
-// worker pool — the pre-GEMM parallel path, kept as a benchmark baseline
-// and selectable via Options.Scan. Skip decisions happen at segment entry,
-// exactly where the batched walk makes them.
-func (ds *DeepStore) scoreRangePerFeature(net *nn.Network, st *dbState, qfv []float32, start, end int64, k int) ([]topk.Entry, pruneStats) {
-	layout := st.meta.Layout
-	channels := layout.Geom.Channels
-	tier := ds.pruneTier(st)
-	qt := ds.quantFor(st)
-	var qq nn.QuantQuery
-	if qt != nil {
-		qq = nn.PrepareQuantQuery(qfv)
-	}
-	shards := make([]*topk.Queue, channels)
-	stats := make([]pruneStats, channels)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > channels {
-		workers = channels
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	stride := int64(channels)
-	var nextShard atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scorer := net.Scorer()
-			var qsc *nn.QuantScorer
-			if qt != nil {
-				qsc = ds.pools.quant(net).Scorer()
-			}
-			score := func(i int64) float32 {
-				if qsc != nil {
-					return qsc.Score(qq, qt.vecs[i])
-				}
-				return scorer.Score(qfv, st.vectors[i])
-			}
-			var bnd *nn.BoundScorer
-			if tier != nil {
-				bnd = net.BoundScorer()
-			}
-			for {
-				ch := int(nextShard.Add(1) - 1)
-				if ch >= channels {
-					return
-				}
-				q := topk.New(k)
-				// Feature i lives on channel i mod Channels (§4.4
-				// striping), so the shard walks its stripe directly.
-				first := start + ((int64(ch)-start)%stride+stride)%stride
-				for i := first; i < end; {
-					if tier != nil {
-						seg := (i / stride) / tier.stripeFeatures
-						segEnd := int64(ch) + stride*(seg+1)*tier.stripeFeatures
-						if segEnd > end {
-							segEnd = end
-						}
-						if skipStripe(bnd, tier, qfv, q, ch, seg, &stats[ch]) {
-							stats[ch].featuresSkipped += (segEnd - i + stride - 1) / stride
-							i = segEnd
-							continue
-						}
-						for ; i < segEnd; i += stride {
-							q.Offer(topk.Entry{
-								FeatureID: i,
-								Score:     score(i),
-								ObjectID:  uint64(layout.Geom.Linear(layout.FeatureAddr(i))),
-							})
-						}
-						continue
-					}
-					q.Offer(topk.Entry{
-						FeatureID: i,
-						Score:     score(i),
-						ObjectID:  uint64(layout.Geom.Linear(layout.FeatureAddr(i))),
-					})
-					i += stride
-				}
-				shards[ch] = q
-			}
-		}()
-	}
-	wg.Wait()
-	var total pruneStats
-	for _, s := range stats {
-		total.add(s)
-	}
-	return topk.Merge(k, shards...).Results(), total
-}
-
-// scoreRangeSerial is the single-goroutine reference implementation (the
-// pre-pool scan), kept for equivalence tests and benchmark baselines and
-// selectable via Options.SerialScoring. The global walk visits each
-// channel's features in ascending slot order, so evaluating the skip
-// decision whenever a channel enters a new segment reproduces the parallel
-// walks' segment-entry decision points (and queue states) exactly.
-func (ds *DeepStore) scoreRangeSerial(net *nn.Network, st *dbState, qfv []float32, start, end int64, k int) ([]topk.Entry, pruneStats) {
-	if st.vectors == nil {
-		return nil, pruneStats{}
-	}
-	layout := st.meta.Layout
-	tier := ds.pruneTier(st)
-	qt := ds.quantFor(st)
-	shards := make([]*topk.Queue, layout.Geom.Channels)
-	for i := range shards {
-		shards[i] = topk.New(k)
-	}
-	scorer := net.Scorer()
-	var qq nn.QuantQuery
-	var qsc *nn.QuantScorer
-	if qt != nil {
-		qq = nn.PrepareQuantQuery(qfv)
-		qsc = ds.pools.quant(net).Scorer()
-	}
-	score := func(i int64) float32 {
-		if qsc != nil {
-			return qsc.Score(qq, qt.vecs[i])
-		}
-		return scorer.Score(qfv, st.vectors[i])
-	}
-	var total pruneStats
-	var bnd *nn.BoundScorer
-	type chState struct {
-		seg  int64
-		skip bool
-	}
-	var state []chState
-	if tier != nil {
-		bnd = net.BoundScorer()
-		state = make([]chState, layout.Geom.Channels)
-		for i := range state {
-			state[i].seg = -1
-		}
-	}
-	stride := int64(layout.Geom.Channels)
-	for i := start; i < end; i++ {
-		ch := layout.FeatureChannel(i)
-		if tier != nil {
-			seg := (i / stride) / tier.stripeFeatures
-			if seg != state[ch].seg {
-				state[ch].seg = seg
-				state[ch].skip = skipStripe(bnd, tier, qfv, shards[ch], ch, seg, &total)
-			}
-			if state[ch].skip {
-				total.featuresSkipped++
-				continue
-			}
-		}
-		shards[ch].Offer(topk.Entry{
-			FeatureID: i,
-			Score:     score(i),
-			ObjectID:  uint64(layout.Geom.Linear(layout.FeatureAddr(i))),
-		})
-	}
-	return topk.Merge(k, shards...).Results(), total
-}
-
 // rerank re-scores cached top-K features against the new query, batching
 // the cached entries through the same pooled GEMM path the scan uses (a hit
-// re-scores tens of features — one or two batches).
+// re-scores tens of features — one or two batches). Entries whose feature
+// IDs fall outside the database are dropped. The queue is sized by the
+// cached entries, not the query's range: cache lookups are not range-aware,
+// so a hit can legitimately rerank more entries than the range holds.
 func (ds *DeepStore) rerank(net *nn.Network, st *dbState, qfv []float32, cached []topk.Entry, k int) []topk.Entry {
 	if st.vectors == nil {
 		return cached
 	}
-	q := topk.New(k)
-	ctx := ds.pools.get(net)
-	defer ds.pools.put(net, ctx)
+	q := topk.New(queueCap(k, int64(len(cached))))
+	ctx := ds.pools.get(net, ds.pools.batch)
+	defer ctx.release()
+	sc := ctx.bind(st, nil, []walkQuery{{qfv: qfv}}, nil)
+	qs := ctx.qs[:1]
+	qs[0] = q
 	n := 0
 	for _, e := range cached {
 		if e.FeatureID < 0 || e.FeatureID >= int64(len(st.vectors)) {
 			continue
 		}
-		ctx.dfvs[n] = st.vectors[e.FeatureID]
+		sc.gather(n, e.FeatureID)
 		ctx.ids[n] = e.FeatureID
 		ctx.objs[n] = e.ObjectID
 		n++
-		if n == len(ctx.dfvs) {
-			ctx.flush(q, qfv, n)
+		if n == len(ctx.ids) {
+			ctx.drain(sc, qs, n, nil)
 			n = 0
 		}
 	}
-	ctx.flush(q, qfv, n)
+	ctx.drain(sc, qs, n, nil)
 	return q.Results()
 }
 
-func (ds *DeepStore) finishQuery(r *QueryResult) {
+// finishQuery completes a query in the engine's books: it appends the query
+// to the history store, folds its latency, energy and stages into the stats
+// and metrics, records the result for getResults and emits its spans.
+func (ds *DeepStore) finishQuery(it *queryItem, t0 sim.Time) QueryID {
+	r := it.result
+	ds.appendHistory(it.spec, r)
 	ds.stats.Queries++
 	if r.CacheHit {
 		ds.stats.CacheHits++
@@ -742,6 +422,9 @@ func (ds *DeepStore) finishQuery(r *QueryResult) {
 	for _, s := range r.Stages {
 		ds.obs.Histogram("core_stage_"+s.Name+"_ms", obs.LatencyBucketsMs()).Observe(s.Dur.Seconds() * 1e3)
 	}
+	id := ds.record(r)
+	ds.emitQuerySpans(id, t0, r)
+	return id
 }
 
 func (ds *DeepStore) record(r *QueryResult) QueryID {
